@@ -20,6 +20,9 @@
 //      then traced passes that make the separate layer calls (build,
 //      bound, startup, MDegST, oracle) and record one span per call. Spans
 //      stay in memory and are written to --spans when the run ends.
+// Every phase interleaves samples of a fixed reference unit of work
+// (reference.hpp) with its own work, so that metrics.py can scale each
+// time by the host's speed at the moment it was taken.
 // Outside the timed phases the first cell, and the first cell with an
 // active fault plan, are re-run through campaign::run_campaign_trial, which
 // must agree with the benchmark's own calls, so the benchmark's seed
@@ -53,6 +56,8 @@
 #include "support/resource.hpp"
 #include "support/rng.hpp"
 
+#include "reference.hpp"
+
 namespace {
 
 using namespace mdst;
@@ -69,6 +74,54 @@ bool budget_spent(Clock::time_point phase_start, std::size_t passes,
   const double elapsed_s = ms_between(phase_start, Clock::now()) / 1000;
   return elapsed_s + elapsed_s / static_cast<double>(passes) > budget_s;
 }
+
+// ------------------------------------------------------------- reference ---
+
+/// Work between two reference samples. A sample costs ~5 ms, so the
+/// samples add about a tenth to a run of short trials, and a sample follows
+/// every trial of 50 ms or more.
+constexpr double kReferenceEveryMs = 50;
+
+/// Interleaves reference samples (perfbench::reference_unit, timed alone)
+/// with timed work. The samples cut the work into segments: segment k lies
+/// between samples k and k + 1. A segment ends after kReferenceEveryMs of
+/// work, or when end_segment() is called. Every time is printed with its
+/// segment, and metrics.py scales it by the samples around that segment.
+class ReferenceSampler {
+ public:
+  ReferenceSampler() { sample(); }
+  /// The segment that work timed now belongs to.
+  std::size_t segment() const { return samples_.size() - 1; }
+  void after_work(double ms) {
+    since_ms_ += ms;
+    if (since_ms_ >= kReferenceEveryMs) end_segment();
+  }
+  void end_segment() {
+    since_ms_ = 0;
+    sample();
+  }
+  const std::vector<double>& samples() const { return samples_; }
+
+ private:
+  void sample() {
+    const Clock::time_point t0 = Clock::now();
+    // Built apart without LTO (CMakeLists.txt): the call cannot be elided.
+    perfbench::reference_unit();
+    samples_.push_back(ms_between(t0, Clock::now()));
+  }
+  std::vector<double> samples_;
+  double since_ms_ = 0;
+};
+
+/// Times, each with the reference segment it was taken in.
+struct Timed {
+  std::vector<double> ms;
+  std::vector<std::size_t> segment;
+  void add(double t, std::size_t seg) {
+    ms.push_back(t);
+    segment.push_back(seg);
+  }
+};
 
 // ---------------------------------------------------------------- inputs ---
 
@@ -143,11 +196,15 @@ struct Input {
   sim::SimConfig config;
 };
 
+/// Builds every trial's input, timing each one in `pieces`.
 std::vector<Input> build_inputs(const campaign::CampaignSpec& spec,
-                                const std::vector<campaign::Trial>& trials) {
+                                const std::vector<campaign::Trial>& trials,
+                                ReferenceSampler& reference, Timed& pieces) {
   std::vector<Input> inputs;
   inputs.reserve(trials.size());
   for (const campaign::Trial& trial : trials) {
+    const std::size_t segment = reference.segment();
+    const Clock::time_point t0 = Clock::now();
     Input in;
     in.g = analysis::build_instance(instance_spec(spec, trial));
     in.lower_bound = core::degree_lower_bound(in.g);
@@ -155,6 +212,9 @@ std::vector<Input> build_inputs(const campaign::CampaignSpec& spec,
     in.options = options_for(spec, trial);
     in.config = config_for(spec, trial);
     inputs.push_back(std::move(in));
+    const double ms = ms_between(t0, Clock::now());
+    pieces.add(ms, segment);
+    reference.after_work(ms);
   }
   return inputs;
 }
@@ -409,6 +469,15 @@ std::string json_list(const std::vector<double>& v) {
   return out + "]";
 }
 
+std::string json_list(const std::vector<std::size_t>& v) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < v.size(); ++i) {
+    if (i != 0) out += ',';
+    out += std::to_string(v[i]);
+  }
+  return out + "]";
+}
+
 // ------------------------------------------------------------------ main ---
 
 struct Args {
@@ -454,31 +523,61 @@ bool parse_args(int argc, char** argv, Args& args) {
   return have_spec && have_seed && (!args.trace || !args.spans.empty());
 }
 
+/// Peak RSS of this process image. getrusage's ru_maxrss (what
+/// support::peak_rss_bytes reads) keeps the high-water mark of the process
+/// that exec'd this one, so under a Python launcher it reports the
+/// launcher's peak; VmHWM in /proc/self/status starts afresh at exec.
+std::uint64_t peak_rss_bytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) {
+      return std::stoull(line.substr(6)) * 1024;  // reported in kB
+    }
+  }
+  return support::peak_rss_bytes();
+}
+
+/// Restarts the peak-RSS count (VmHWM) at the current RSS.
+bool reset_peak_rss() {
+  std::ofstream clear("/proc/self/clear_refs");
+  clear << "5";
+  clear.close();
+  return static_cast<bool>(clear);
+}
+
 struct Record {
   std::string status = "ok";  // ok | threw | wedged | check_failed
   std::string error;
   Counts counts;
   Memory memory;
   bool witness = false;
-  std::vector<double> ms;  // per timed pass
+  Timed timed;   // one time per timed pass
+  Timed traced;  // one time per traced pass: startup + MDegST spans
 };
 
 /// Runs timed passes over the grid until the next pass would overrun
 /// `budget_s` (always at least one). Returns the per-pass wall times: the
-/// sum of the pass's trial times.
+/// sum of the pass's trial times. `peak_rss` is read after the first pass:
+/// over later passes the heap kept growing by different amounts from run
+/// to run (`sweep` read 25.6-32.5 MB), while the first pass's peak is
+/// steady.
 std::vector<double> timed_passes(const std::vector<campaign::Trial>& trials,
                                  const std::vector<Input>& inputs,
                                  double budget_s, std::vector<Record>& records,
+                                 ReferenceSampler& reference,
+                                 std::uint64_t& peak_rss,
                                  std::vector<std::string>& errors) {
   std::vector<double> walls;
   const Clock::time_point phase_start = Clock::now();
   for (;;) {
-    const bool first = records.front().ms.empty();
+    const bool first = records.front().timed.ms.empty();
     double pass_ms = 0;
     for (std::size_t i = 0; i < trials.size(); ++i) {
       Record& rec = records[i];
       graph::RootedTree tree;
       Counts c;
+      const std::size_t segment = reference.segment();
       const Clock::time_point t0 = Clock::now();
       try {
         c = run_trial(trials[i], inputs[i], first ? &tree : nullptr,
@@ -490,7 +589,8 @@ std::vector<double> timed_passes(const std::vector<campaign::Trial>& trials,
       }
       const double ms = ms_between(t0, Clock::now());
       pass_ms += ms;
-      rec.ms.push_back(ms);
+      rec.timed.add(ms, segment);
+      reference.after_work(ms);
       if (!first) {
         if (!(c == rec.counts)) {
           errors.push_back("trial " + std::to_string(i) +
@@ -520,6 +620,8 @@ std::vector<double> timed_passes(const std::vector<campaign::Trial>& trials,
       }
     }
     walls.push_back(pass_ms / 1000);
+    if (first) peak_rss = peak_rss_bytes();
+    reference.end_segment();
     if (budget_spent(phase_start, walls.size(), budget_s)) return walls;
   }
 }
@@ -564,21 +666,6 @@ void cross_check_campaign(const campaign::CampaignSpec& spec,
   }
 }
 
-/// Peak RSS of this process image. getrusage's ru_maxrss (what
-/// support::peak_rss_bytes reads) keeps the high-water mark of the process
-/// that exec'd this one, so under a Python launcher it reports the
-/// launcher's peak; VmHWM in /proc/self/status starts afresh at exec.
-std::uint64_t peak_rss_bytes() {
-  std::ifstream status("/proc/self/status");
-  std::string line;
-  while (std::getline(status, line)) {
-    if (line.rfind("VmHWM:", 0) == 0) {
-      return std::stoull(line.substr(6)) * 1024;  // reported in kB
-    }
-  }
-  return support::peak_rss_bytes();
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -610,45 +697,61 @@ int main(int argc, char** argv) {
   const std::vector<campaign::Trial> trials = campaign::expand(spec);
   std::vector<std::string> errors;
 
-  // 1. Set-up, repeated for a median: at least 3 times, up to 10 while the
-  //    total stays under a second.
+  // 1. Set-up, repeated for a median: at least 5 times, up to 10 while the
+  //    total stays under 1.5 s. Each input is timed on its own.
+  ReferenceSampler reference;
   std::vector<double> setup_s;
+  std::vector<Timed> setup_pieces;
   std::vector<Input> inputs;
   double setup_total = 0;
-  while (setup_s.size() < 3 || (setup_total < 1.0 && setup_s.size() < 10)) {
+  while (setup_s.size() < 5 || (setup_total < 1.5 && setup_s.size() < 10)) {
     inputs.clear();
     inputs.shrink_to_fit();
     const Clock::time_point t0 = Clock::now();
-    inputs = build_inputs(spec, trials);
+    inputs = build_inputs(spec, trials, reference, setup_pieces.emplace_back());
     setup_s.push_back(ms_between(t0, Clock::now()) / 1000);
+    reference.end_segment();
     setup_total += setup_s.back();
   }
 
-  // 2. Timed phase (half the budget when a traced phase follows).
+  // 2. Timed phase (half the budget when a traced phase follows). Peak RSS
+  //    counts from here, over the first pass: the heap pages the set-up
+  //    repetitions freed go back to the kernel first, so the peak does not
+  //    depend on how many repetitions the host's speed allowed.
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+  if (!reset_peak_rss()) {
+    std::fprintf(stderr,
+                 "warning: cannot reset the peak RSS through "
+                 "/proc/self/clear_refs; it counts from the start\n");
+  }
   std::vector<Record> records(trials.size());
   const double budget = args.trace ? args.seconds / 2 : args.seconds;
-  const std::vector<double> walls =
-      timed_passes(trials, inputs, budget, records, errors);
-  const std::uint64_t peak_rss = peak_rss_bytes();
+  std::uint64_t peak_rss = 0;
+  const std::vector<double> walls = timed_passes(trials, inputs, budget, records,
+                                                 reference, peak_rss, errors);
 
-  // 3. Traced phase.
-  std::vector<double> traced_walls;
+  // 3. Traced phase. A traced trial's reference segment also covers its
+  //    build, bound and oracle spans.
   Tracer tracer;
   if (args.trace) {
     const Clock::time_point phase_start = Clock::now();
     for (std::uint32_t pass = 0;; ++pass) {
-      double pass_ms = 0;
       for (std::size_t i = 0; i < trials.size(); ++i) {
         tracer.at(pass, i);
+        const std::size_t segment = reference.segment();
+        const Clock::time_point t0 = Clock::now();
         const TracedTrial t = traced_trial(spec, trials[i], tracer);
-        pass_ms += t.run_ms;
+        reference.after_work(ms_between(t0, Clock::now()));
+        records[i].traced.add(t.run_ms, segment);
         if (pass == 0 && (!(t.counts == records[i].counts) ||
                           t.lower_bound != inputs[i].lower_bound)) {
           errors.push_back("trial " + std::to_string(i) +
                            ": traced counts differ from the untraced run");
         }
       }
-      traced_walls.push_back(pass_ms / 1000);
+      reference.end_segment();
       if (budget_spent(phase_start, pass + 1, args.seconds / 2)) break;
     }
   }
@@ -666,7 +769,8 @@ int main(int argc, char** argv) {
           << ",\"pass\":" << s.pass << ",\"trial\":" << s.trial
           << ",\"layer\":" << json_string(s.layer)
           << ",\"start_ms\":" << json_number(s.start_ms)
-          << ",\"end_ms\":" << json_number(s.end_ms) << "}\n";
+          << ",\"end_ms\":" << json_number(s.end_ms) << ",\"segment\":"
+          << records[s.trial].traced.segment[s.pass] << "}\n";
     }
     if (!out) errors.push_back("cannot write spans to " + args.spans);
   }
@@ -677,7 +781,15 @@ int main(int argc, char** argv) {
          ",\"check_level\":" + json_string(PERFBENCH_CHECK_LEVEL) + "}";
   doc += ",\"setup_s\":" + json_list(setup_s);
   doc += ",\"pass_wall_s\":" + json_list(walls);
-  doc += ",\"traced_pass_wall_s\":" + json_list(traced_walls);
+  doc += ",\"setup_ms\":[";
+  for (std::size_t k = 0; k < setup_pieces.size(); ++k) {
+    doc += (k != 0 ? "," : "") + json_list(setup_pieces[k].ms);
+  }
+  doc += "],\"setup_segment\":[";
+  for (std::size_t k = 0; k < setup_pieces.size(); ++k) {
+    doc += (k != 0 ? "," : "") + json_list(setup_pieces[k].segment);
+  }
+  doc += "],\"reference_ms\":" + json_list(reference.samples());
   doc += ",\"peak_rss_bytes\":" + std::to_string(peak_rss);
   doc += ",\"errors\":[";
   for (std::size_t i = 0; i < errors.size(); ++i) {
@@ -717,7 +829,10 @@ int main(int argc, char** argv) {
            ",\"floor_bytes\":" + u(r.memory.floor) +
            ",\"metrics_bytes\":" + u(r.memory.metrics) +
            ",\"witness\":" + (r.witness ? "true" : "false") +
-           ",\"ms\":" + json_list(r.ms) + "}";
+           ",\"ms\":" + json_list(r.timed.ms) +
+           ",\"segment\":" + json_list(r.timed.segment) +
+           ",\"traced_ms\":" + json_list(r.traced.ms) +
+           ",\"traced_segment\":" + json_list(r.traced.segment) + "}";
   }
   doc += "]}\n";
   std::fputs(doc.c_str(), stdout);

@@ -1,9 +1,18 @@
 """Metric math of the end-to-end benchmark.
 
 Turns the raw document printed by mdst_perfbench (per-trial counts and
-times, per-pass wall times, set-up times) and, for traced runs, its span
-file into the metrics named in BENCHMARK.json. Kept free of I/O so that
-perfbench/tests/test_metrics.py can pin every rule.
+times, per-pass wall times, set-up times, reference samples) and, for
+traced runs, its span file into the metrics named in BENCHMARK.json. Kept
+free of I/O so that perfbench/tests/test_metrics.py can pin every rule.
+
+Every time is reported at reference speed. The program interleaves samples
+of a fixed unit of reference work (perfbench/reference.cpp) with the timed
+work, a sample after every 50 ms of it, and pairs each measured time with
+the mean of the two samples around it. The time is reported as
+measured x REFERENCE_MS / that mean. On a host that runs the unit in
+REFERENCE_MS the reported time is the measured one; when the shared host
+slows down for a while it slows the unit with it, and the reported time
+stays put.
 """
 
 import statistics
@@ -11,6 +20,10 @@ import statistics
 # A tail percentile is reported only when at least this many samples lie
 # beyond it; p90 therefore needs 100 trials.
 TAIL_SAMPLES_BEYOND = 10
+
+# The speed every reported time is scaled to: about what the reference unit
+# takes on an unloaded 4-vCPU Xeon host (GCC 12.2, -O2).
+REFERENCE_MS = 4.3
 
 # Trial statuses written by mdst_perfbench. Only "ok" counts towards
 # ok_frac: a trial that threw (for example at the message cap), wedged, or
@@ -45,9 +58,30 @@ def ok_frac(trials):
     return sum(t["status"] == OK for t in trials) / len(trials)
 
 
-def trial_times_ms(trials):
-    """One time per trial: the median of its timed passes."""
-    return [statistics.median(t["ms"]) for t in trials]
+def segment_reference_ms(samples, segment):
+    """The reference unit's time during a segment: the mean of the two
+    samples around it."""
+    return (samples[segment] + samples[segment + 1]) / 2
+
+
+def scaled(times, segments, samples):
+    """times[i], measured in reference segment segments[i], at reference
+    speed."""
+    if len(times) != len(segments):
+        raise ValueError(f"{len(times)} times for {len(segments)} segments")
+    return [t * REFERENCE_MS / segment_reference_ms(samples, k)
+            for t, k in zip(times, segments)]
+
+
+def trial_times_ms(raw):
+    """Per trial and timed pass, its time at reference speed."""
+    return [scaled(t["ms"], t["segment"], raw["reference_ms"])
+            for t in raw["trials"]]
+
+
+def pass_totals(per_trial):
+    """Per pass, the sum of its trials' times."""
+    return [sum(times) for times in zip(*per_trial)]
 
 
 def _mean(values):
@@ -63,8 +97,10 @@ def end_to_end(raw):
     """
     trials = raw["trials"]
     ran = [t for t in trials if t["status"] != "threw"]
-    times = trial_times_ms(trials)
-    wall_s = statistics.median(raw["pass_wall_s"])
+    per_pass = trial_times_ms(raw)
+    # One sample per trial: the median of its timed passes.
+    times = [statistics.median(t) for t in per_pass]
+    wall_s = statistics.median(pass_totals(per_pass)) / 1000
     messages = sum(t["startup_msgs"] + t["mdst_msgs"] for t in ran)
     p50 = statistics.median(times)
     p90 = tail_percentile(times, 90)
@@ -75,7 +111,9 @@ def end_to_end(raw):
         p90 = p50
     ok_trials = [t for t in trials if t["status"] == OK]
     metrics = {
-        "setup_s": (statistics.median(raw["setup_s"]), "s"),
+        "setup_s": (statistics.median(
+            sum(scaled(ms, segments, raw["reference_ms"])) for ms, segments in
+            zip(raw["setup_ms"], raw["setup_segment"])) / 1000, "s"),
         "wall_s": (wall_s, "s"),
         "msgs_per_s": (messages / wall_s, "msgs/s"),
         "trial_p50_ms": (p50, "ms"),
@@ -92,11 +130,14 @@ def end_to_end(raw):
     return metrics, notes
 
 
-def layer_ms(spans):
-    """Total span time per layer, in ms."""
+def layer_ms(spans, samples):
+    """Total span time per layer, in ms at reference speed (a span is scaled
+    by its trial's reference segment)."""
     totals = {}
     for s in spans:
-        totals[s["layer"]] = totals.get(s["layer"], 0.0) + s["end_ms"] - s["start_ms"]
+        ms = (s["end_ms"] - s["start_ms"]) * REFERENCE_MS / segment_reference_ms(
+            samples, s["segment"])
+        totals[s["layer"]] = totals.get(s["layer"], 0.0) + ms
     return totals
 
 
@@ -111,15 +152,17 @@ def per_layer(raw, spans):
     trials = raw["trials"]
     ran = [t for t in trials if t["status"] != "threw"]
     executions = sum(s["layer"] == "trial" for s in spans)
-    ms = layer_ms(spans)
+    ms = layer_ms(spans, raw["reference_ms"])
     per_exec = {layer: total / executions for layer, total in ms.items()}
     work = sum(ms.get(layer, 0.0) for layer in
                ("graph.build", "mdst.bound", "spanning.startup", "mdst.run"))
     mdst_msgs = sum(t["mdst_msgs"] for t in ran)
     mdst_msgs_executed = mdst_msgs * executions / len(trials)
     healthy = [t for t in ran if t["faults"] == "none"]
-    untraced = statistics.median(raw["pass_wall_s"])
-    traced = statistics.median(raw["traced_pass_wall_s"])
+    untraced = statistics.median(pass_totals(trial_times_ms(raw)))
+    traced = statistics.median(pass_totals(
+        scaled(t["traced_ms"], t["traced_segment"], raw["reference_ms"])
+        for t in trials))
     return {
         "graph.build_ms": (per_exec.get("graph.build", 0.0), "ms"),
         "mdst.bound_ms": (per_exec.get("mdst.bound", 0.0), "ms"),

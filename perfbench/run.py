@@ -11,7 +11,9 @@ process of its own, checks the outputs, and prints every metric by name
 with its unit. The last line of stdout is one JSON object:
 {"correct", "attempted", "failed", "metrics"}. --trace 0 reports the
 end-to-end metrics; --trace 1 runs the same trials once more as separate,
-span-recorded layer calls and reports the per-layer metrics. Exits 1 when
+span-recorded layer calls and reports the per-layer metrics. Times are
+reported at the speed of a fixed reference unit of work interleaved with
+the trials (see perfbench/metrics.py). Exits 1 when
 the correctness check fails and 2 when the benchmark cannot run.
 See perfbench/README.md for the workloads and metrics.
 """
@@ -20,6 +22,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -136,8 +139,8 @@ def main():
                               timeout=RUN_TIMEOUT_S)
     except subprocess.TimeoutExpired:
         fail(f"{args.workload} did not finish within {RUN_TIMEOUT_S} s")
+    sys.stderr.write(done.stderr)
     if done.returncode != 0:
-        sys.stderr.write(done.stderr)
         fail(f"mdst_perfbench exited with {done.returncode}")
     raw = json.loads(done.stdout)
 
@@ -154,6 +157,12 @@ def main():
     print(f"# workload {args.workload}  seed {args.seed}  trace {args.trace}  "
           f"trials {len(trials)}  timed passes {len(raw['pass_wall_s'])}")
     print("# fingerprint " + json.dumps(fp, sort_keys=True))
+    reference = raw["reference_ms"]
+    print(f"# reference unit took {statistics.median(reference):.4g} ms (median, "
+          f"{len(reference)} samples); times below are scaled to "
+          f"{metrics.REFERENCE_MS} ms. Unscaled: pass "
+          f"{statistics.median(raw['pass_wall_s']):.6g} s, set-up "
+          f"{statistics.median(raw['setup_s']):.6g} s")
     for name, (value, unit) in values.items():
         note = f"  ({notes[name]})" if name in notes else ""
         print(f"{name:28s} {value:16.6g} {unit}{note}")

@@ -19,8 +19,16 @@ def trial(status="ok", ms=(1.0,), **fields):
     return t
 
 
-def raw_run(trials):
-    return {"trials": trials, "setup_s": [0.3, 0.1, 0.2], "pass_wall_s": [2.0],
+def raw_run(trials, slowdown=1.0):
+    """A run on a host that runs the reference unit `slowdown` times slower
+    than REFERENCE_MS; every time lies in reference segment 0."""
+    for t in trials:
+        t["segment"] = [0] * len(t["ms"])
+    return {"trials": trials,
+            "setup_ms": [[300.0 * slowdown], [100.0 * slowdown],
+                         [200.0 * slowdown]],
+            "setup_segment": [[0]] * 3,
+            "reference_ms": [metrics.REFERENCE_MS * slowdown] * 2,
             "peak_rss_bytes": 5_000_000}
 
 
@@ -86,13 +94,40 @@ class TrialP90(unittest.TestCase):
 
 class EndToEnd(unittest.TestCase):
     def test_medians_and_rates(self):
-        raw = raw_run([trial(ms=(1.0, 3.0, 2.0)), trial(ms=(4.0,))])
+        raw = raw_run([trial(ms=(1.0, 3.0, 2.0)), trial(ms=(4.0, 4.0, 4.0))])
         values, _ = metrics.end_to_end(raw)
         self.assertEqual(values["setup_s"], (0.2, "s"))
         self.assertEqual(values["trial_p50_ms"][0], 3.0)
-        self.assertEqual(values["msgs_per_s"][0], 200 / 2.0)
+        # Passes: 1 + 4 ms, 3 + 4 ms, 2 + 4 ms; the median pass is 6 ms.
+        self.assertEqual(values["wall_s"][0], 0.006)
+        self.assertEqual(values["msgs_per_s"][0], 200 / 0.006)
         self.assertEqual(values["mean_gap"][0], 1)
         self.assertEqual(values["peak_rss_mb"][0], 5.0)
+
+
+class ReferenceSpeed(unittest.TestCase):
+    def test_times_at_reference_speed_are_unchanged(self):
+        ref = metrics.REFERENCE_MS
+        self.assertEqual(metrics.scaled([2.0, 4.0], [0, 1], [ref] * 3),
+                         [2.0, 4.0])
+
+    def test_a_segment_takes_the_mean_of_the_samples_around_it(self):
+        ref = metrics.REFERENCE_MS
+        samples = [2 * ref, 2 * ref, ref / 2, ref / 2]
+        # Segment 0 lies between samples 0 and 1, segment 2 between 2 and 3,
+        # segment 1 between a slow and a fast sample.
+        self.assertEqual(metrics.scaled([4.0, 4.0, 5.0], [0, 2, 1], samples),
+                         [2.0, 8.0, 4.0])
+
+    def test_a_uniformly_slower_host_reads_the_same(self):
+        fast = raw_run([trial(ms=(1.5, 3.0)), trial(ms=(4.0, 4.0))])
+        slow = raw_run([trial(ms=(3.0, 6.0)), trial(ms=(8.0, 8.0))],
+                       slowdown=2.0)
+        self.assertEqual(metrics.end_to_end(slow), metrics.end_to_end(fast))
+
+    def test_a_time_needs_its_segment(self):
+        with self.assertRaises(ValueError):
+            metrics.scaled([1.0, 2.0], [0], [metrics.REFERENCE_MS] * 2)
 
 
 if __name__ == "__main__":
